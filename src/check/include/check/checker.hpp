@@ -122,7 +122,7 @@ struct CollectiveFingerprint {
   const std::uint64_t* send_counts = nullptr;  ///< alltoallv only
   const std::uint64_t* recv_counts = nullptr;  ///< alltoallv only
   double sim_time = 0.0;
-  std::string phase;       ///< publishing rank's phase path
+  std::string phase{};     ///< publishing rank's phase path
 };
 
 // --- progress watchdog ----------------------------------------------------

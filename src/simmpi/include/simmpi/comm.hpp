@@ -25,7 +25,7 @@
 #include "simtime/clock.hpp"
 
 namespace check {
-enum class CollectiveOp : std::uint32_t;
+struct CollectiveFingerprint;
 }
 
 namespace simmpi {
@@ -231,7 +231,6 @@ class Communicator {
   double clock_sync();
 
  private:
-  friend struct detail::SharedState;
   friend class Request;
 
   Communicator(std::shared_ptr<detail::SharedState> shared, int rank,
@@ -240,34 +239,49 @@ class Communicator {
   // Non-blocking machinery backing Request.
   bool nb_test(std::uint64_t key);
   void nb_wait(Request& request);
+  /// The one initiation path of the non-blocking collectives: publish
+  /// the race handoff and `freeze` the buffers, then join op `fp`, `fill`
+  /// this rank's part and complete on the last arrival. Returns the key.
+  template <class Freeze, class Fill>
+  std::uint64_t nb_initiate(check::CollectiveFingerprint fp, Freeze freeze,
+                            Fill fill);
+
+  /// The one protocol of every blocking collective (step order in
+  /// DESIGN.md): `publish` into this rank's slot, rendezvous, `collect`
+  /// from the peers' slots, then charge latency + `cost()` seconds.
+  template <class Publish, class Collect, class Cost>
+  void rendezvous(const check::CollectiveFingerprint& fp, Publish publish,
+                  Collect collect, Cost cost);
+  // The typed one-word collectives behind allreduce_*/allgather_*.
+  template <class T>
+  T allreduce(T value, Op op);
+  template <class T>
+  std::vector<T> allgather(T value);
+  /// Throw unless the [displ, displ + count) region for `peer` fits a
+  /// `size`-byte buffer, first recording a `<what>-local-bounds` error in
+  /// the check report. Written so that displ + count cannot wrap.
+  void check_region(const char* what, const char* side, int peer,
+                    std::uint64_t displ, std::uint64_t count,
+                    std::uint64_t size);
 
   // mimir-check hooks; all no-ops when the job's checker is null.
-  bool checking() const noexcept;
   int check_global_rank() const noexcept;
-  /// Publish this rank's fingerprint for the collective it is entering.
-  /// Must run before the entry barrier.
-  void check_announce(check::CollectiveOp op, std::uint32_t width,
-                      std::uint32_t extra, std::int32_t root,
-                      std::uint64_t bytes,
-                      const std::uint64_t* send_counts,
-                      const std::uint64_t* recv_counts);
+  /// Stamp `fp` with this rank's next sequence number, clock and phase
+  /// into `out` (its slot in the fingerprint table) and chain it into the
+  /// race detector's determinism digest. Runs before the entry barrier.
+  void check_announce(const check::CollectiveFingerprint& fp,
+                      check::CollectiveFingerprint& out);
   /// Verification fence after the entry barrier: the communicator's
   /// rank 0 compares all fingerprints (throwing mutil::CommError on a
   /// mismatch), then every rank rendezvouses once more so no rank reads
   /// peer slot data the verifier rejected. Pure thread synchronization —
   /// never advances a simulated clock.
   void check_verify();
-  /// Record a locally-detected error in the check report before throwing.
-  void check_local_error(const char* code, const std::string& message);
   /// barrier_wait with the blocked state published to the watchdog. Only
   /// the wait itself is marked blocked — a rank computing between
   /// barriers reads as making progress, so the deadlock verdict ("every
   /// rank blocked, nothing changed") cannot fire on slow compute.
   void checked_wait(const char* what);
-  /// Report `released - entry` simulated seconds of rendezvous blocking
-  /// to the rank's stats registry, if any. Accounting-only: reads
-  /// timestamps already computed by the collective, touches no clock.
-  static void note_wait(double entry, double released);
 
   std::shared_ptr<detail::SharedState> shared_;
   int rank_;

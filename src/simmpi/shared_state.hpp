@@ -2,8 +2,9 @@
 // table, the global barrier, per-rank mailboxes, and the abort channel.
 // Private to the simmpi library.
 //
-// Why the slot table is race-free: every collective is bracketed by
-// barrier_wait() calls on the shared generation barrier, so every
+// Why the slot table is race-free: every blocking collective runs the
+// one rendezvous in Communicator (communicator.cpp), which brackets its
+// slot reads by barrier_wait() calls on the generation barrier, so every
 // pre-entry-barrier slot write synchronizes-with every
 // post-entry-barrier slot read, and no rank writes its slot again until
 // after the exit barrier. The full happens-before argument — and the
@@ -30,19 +31,20 @@
 
 namespace simmpi::detail {
 
+struct SharedState;
+
 /// Per-rank publication slot used by collectives. Written by its owner
 /// before the entry barrier, read by everyone between the entry and exit
 /// barriers. Cache-line aligned to avoid false sharing on the hot path.
 struct alignas(64) Slot {
   const std::byte* send = nullptr;
-  std::byte* recv = nullptr;
   const std::uint64_t* counts = nullptr;
   const std::uint64_t* displs = nullptr;
-  std::int64_t i64 = 0;
-  std::uint64_t u64 = 0;
-  double f64 = 0.0;
+  std::uint64_t word = 0;  ///< one 64-bit value, std::bit_cast from its type
   double clock = 0.0;
   std::uint64_t bytes = 0;
+  /// split(): the group leader's new child state (null elsewhere).
+  const std::shared_ptr<SharedState>* group = nullptr;
 };
 
 /// Point-to-point mailbox of one rank.
@@ -71,11 +73,8 @@ struct Mailbox {
 /// SharedState::cv. Count/displacement arrays are copied in at initiate
 /// because the caller's vectors may die before the op completes.
 struct NbOp {
-  enum class Kind { kAlltoallv, kAllreduceU64 };
-
   /// One rank's published arguments.
   struct Part {
-    bool present = false;
     const std::byte* send = nullptr;
     std::byte* recv = nullptr;
     std::uint64_t recv_cap = 0;
@@ -87,7 +86,8 @@ struct NbOp {
     std::uint64_t received = 0;
   };
 
-  Kind kind = Kind::kAlltoallv;
+  /// kIalltoallv or kIallreduceU64; a peer initiating the other throws.
+  check::CollectiveOp op = check::CollectiveOp::kNone;
   std::uint32_t red_op = 0;  ///< reduction operator (iallreduce)
   int arrived = 0;           ///< initiations so far
   int waited = 0;            ///< completed waits; erase at nranks
@@ -163,26 +163,14 @@ struct SharedState {
   std::vector<check::CollectiveFingerprint> check_fps;
   std::vector<int> check_ranks;
 
-  // Rendezvous area for split(): group leaders publish the new group's
-  // state here between two barriers.
-  std::mutex split_mutex;
-  std::map<int, std::shared_ptr<SharedState>> split_groups;
-
   // Children created by split(): an abort cascades into them so ranks
   // blocked in sub-communicator collectives unwind as well.
   std::mutex children_mutex;
   std::vector<std::weak_ptr<SharedState>> children;
 
-  /// Number of rounds of a log-tree collective.
-  int rounds() const noexcept {
-    return nranks <= 1 ? 0
-                       : std::bit_width(
-                             static_cast<unsigned>(nranks - 1));
-  }
-
-  /// Latency charge for one collective.
+  /// Latency charge for one collective: one hop per round of a log tree.
   double collective_latency() const noexcept {
-    return net_latency * rounds();
+    return net_latency * std::bit_width(static_cast<unsigned>(nranks - 1));
   }
 
   /// Throw the abort error for a peer rank: a RankFailedError naming
@@ -260,11 +248,6 @@ struct SharedState {
       }
     }
     for (auto& kid : kids) kid->abort(error);
-  }
-
-  bool is_aborted() {
-    const std::scoped_lock lock(mutex);
-    return aborted;
   }
 
   /// Throw the (classified) abort error if the job has been aborted.

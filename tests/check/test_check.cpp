@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,26 +99,53 @@ TEST(CheckConfigTest, ReadsConfigKeys) {
 // --- collective-matching verifier -----------------------------------------
 
 TEST(CheckCollective, DivergentRankIsNamed) {
-  Report report;
-  JobChecker checker(report);
-  EXPECT_THROW(
-      simmpi::run_test(
-          4,
-          [](Context& ctx) {
-            if (ctx.rank() == 2) {
-              ctx.comm.allreduce_i64(1, simmpi::Op::kSum);
-            } else {
-              ctx.comm.barrier();
-            }
-          },
-          nullptr, &checker),
-      mutil::CommError);
+  // Rank 2 enters `divergent`, everyone else `expected`. The typed pairs
+  // share one rendezvous and differ only in the fingerprint op code.
+  struct Pair {
+    const char* divergent;
+    const char* expected;
+    std::function<void(Context&)> call_divergent;
+    std::function<void(Context&)> call_expected;
+  };
+  const std::vector<Pair> pairs = {
+      {"allreduce_i64", "barrier",
+       [](Context& ctx) { ctx.comm.allreduce_i64(1, simmpi::Op::kSum); },
+       [](Context& ctx) { ctx.comm.barrier(); }},
+      {"allreduce_i64", "allreduce_f64",
+       [](Context& ctx) { ctx.comm.allreduce_i64(1, simmpi::Op::kSum); },
+       [](Context& ctx) { ctx.comm.allreduce_f64(1.0, simmpi::Op::kSum); }},
+      {"allgather_i64", "allgather_u64",
+       [](Context& ctx) { ctx.comm.allgather_i64(1); },
+       [](Context& ctx) { ctx.comm.allgather_u64(1); }},
+      {"bcast", "bcast_u64",
+       [](Context& ctx) {
+         std::vector<std::byte> data(8);
+         ctx.comm.bcast(data, 0);
+       },
+       [](Context& ctx) { ctx.comm.bcast_u64(1, 0); }},
+  };
+  for (const Pair& pair : pairs) {
+    SCOPED_TRACE(std::string(pair.divergent) + " vs " + pair.expected);
+    Report report;
+    JobChecker checker(report);
+    EXPECT_THROW(simmpi::run_test(
+                     4,
+                     [&](Context& ctx) {
+                       if (ctx.rank() == 2) {
+                         pair.call_divergent(ctx);
+                       } else {
+                         pair.call_expected(ctx);
+                       }
+                     },
+                     nullptr, &checker),
+                 mutil::CommError);
 
-  ASSERT_EQ(report.count("collective-mismatch"), 1u);
-  const Diagnostic d = report.first("collective-mismatch");
-  EXPECT_EQ(d.ranks, std::vector<int>{2});
-  EXPECT_NE(d.message.find("allreduce_i64"), std::string::npos);
-  EXPECT_NE(d.message.find("barrier"), std::string::npos);
+    ASSERT_EQ(report.count("collective-mismatch"), 1u);
+    const Diagnostic d = report.first("collective-mismatch");
+    EXPECT_EQ(d.ranks, std::vector<int>{2});
+    EXPECT_NE(d.message.find(pair.divergent), std::string::npos);
+    EXPECT_NE(d.message.find(pair.expected), std::string::npos);
+  }
 }
 
 TEST(CheckCollective, ReorderedCollectivesAreAMismatch) {
