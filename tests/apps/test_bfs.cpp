@@ -113,15 +113,22 @@ TEST_P(BfsFrameworks, MatchesSerialReference) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr BfsCase kBfsCases[] = {
+    {false, false, false, 1, "mimir_serial"},
+    {false, false, false, 4, "mimir_base"},
+    {false, true, false, 4, "mimir_hint"},
+    {false, true, true, 4, "mimir_hint_cps"},
+    {true, false, false, 4, "mrmpi_base"},
+    {true, false, true, 4, "mrmpi_cps"},
+    {false, false, false, 5, "mimir_p5"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, BfsFrameworks,
-    ::testing::Values(BfsCase{false, false, false, 1, "mimir_serial"},
-                      BfsCase{false, false, false, 4, "mimir_base"},
-                      BfsCase{false, true, false, 4, "mimir_hint"},
-                      BfsCase{false, true, true, 4, "mimir_hint_cps"},
-                      BfsCase{true, false, false, 4, "mrmpi_base"},
-                      BfsCase{true, false, true, 4, "mrmpi_cps"},
-                      BfsCase{false, false, false, 5, "mimir_p5"}),
+    Paths, BfsFrameworks, ::testing::ValuesIn(kBfsCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(Bfs, CompressionReducesPartitionKvCount) {

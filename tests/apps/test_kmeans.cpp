@@ -73,14 +73,21 @@ TEST_P(KMeansFrameworks, MatchesSerialReference) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr KmCase kKmCases[] = {
+    {false, true, false, 1, "mimir_serial"},
+    {false, true, false, 4, "mimir_pr"},
+    {false, false, false, 4, "mimir_reduce"},
+    {false, true, true, 4, "mimir_pr_cps"},
+    {true, false, false, 3, "mrmpi"},
+    {true, false, true, 3, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, KMeansFrameworks,
-    ::testing::Values(KmCase{false, true, false, 1, "mimir_serial"},
-                      KmCase{false, true, false, 4, "mimir_pr"},
-                      KmCase{false, false, false, 4, "mimir_reduce"},
-                      KmCase{false, true, true, 4, "mimir_pr_cps"},
-                      KmCase{true, false, false, 3, "mrmpi"},
-                      KmCase{true, false, true, 3, "mrmpi_cps"}),
+    Paths, KMeansFrameworks, ::testing::ValuesIn(kKmCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 }  // namespace

@@ -64,14 +64,21 @@ TEST_P(PageRankFrameworks, MatchesSerialReference) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr PrCase kPrCases[] = {
+    {false, false, false, 1, "mimir_serial"},
+    {false, false, false, 4, "mimir_base"},
+    {false, true, false, 4, "mimir_hint"},
+    {false, true, true, 4, "mimir_hint_cps"},
+    {true, false, false, 3, "mrmpi_base"},
+    {true, false, true, 3, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, PageRankFrameworks,
-    ::testing::Values(PrCase{false, false, false, 1, "mimir_serial"},
-                      PrCase{false, false, false, 4, "mimir_base"},
-                      PrCase{false, true, false, 4, "mimir_hint"},
-                      PrCase{false, true, true, 4, "mimir_hint_cps"},
-                      PrCase{true, false, false, 3, "mrmpi_base"},
-                      PrCase{true, false, true, 3, "mrmpi_cps"}),
+    Paths, PageRankFrameworks, ::testing::ValuesIn(kPrCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(PageRank, OverlappedShuffleIsBitIdentical) {

@@ -40,12 +40,19 @@ TEST_P(SampleSortFrameworks, ProducesGlobalOrder) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr SortCase kSortCases[] = {
+    {false, 1, 1 << 10, "mimir_serial"},
+    {false, 4, 1 << 14, "mimir_p4"},
+    {false, 7, 1 << 14, "mimir_p7"},
+    {true, 4, 1 << 13, "mrmpi_p4"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, SampleSortFrameworks,
-    ::testing::Values(SortCase{false, 1, 1 << 10, "mimir_serial"},
-                      SortCase{false, 4, 1 << 14, "mimir_p4"},
-                      SortCase{false, 7, 1 << 14, "mimir_p7"},
-                      SortCase{true, 4, 1 << 13, "mrmpi_p4"}),
+    Paths, SampleSortFrameworks, ::testing::ValuesIn(kSortCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(SampleSort, RangePartitionBeatsHashForOrdering) {

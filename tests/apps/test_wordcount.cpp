@@ -131,14 +131,21 @@ TEST_P(WcFrameworks, MatchesSerialReference) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr WcCase kWcCases[] = {
+    {false, false, false, false, "mimir_base"},
+    {false, true, false, false, "mimir_hint"},
+    {false, true, true, false, "mimir_hint_pr"},
+    {false, true, true, true, "mimir_all"},
+    {true, false, false, false, "mrmpi_base"},
+    {true, false, false, true, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, WcFrameworks,
-    ::testing::Values(WcCase{false, false, false, false, "mimir_base"},
-                      WcCase{false, true, false, false, "mimir_hint"},
-                      WcCase{false, true, true, false, "mimir_hint_pr"},
-                      WcCase{false, true, true, true, "mimir_all"},
-                      WcCase{true, false, false, false, "mrmpi_base"},
-                      WcCase{true, false, false, true, "mrmpi_cps"}),
+    Paths, WcFrameworks, ::testing::ValuesIn(kWcCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(WcOverlap, OverlappedShuffleIsBitIdentical) {

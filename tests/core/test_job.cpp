@@ -164,14 +164,21 @@ TEST_P(JobOptimizations, AllPathsProduceIdenticalCounts) {
   });
 }
 
+// The cases live in static storage, so their padding bytes are zero.
+// gtest prints a struct parameter as its raw bytes and ctest names the
+// test after that print; padding left uninitialised on the stack would
+// give the test a different name on every build.
+constexpr OptCase kOptCases[] = {
+    {false, false, false, "baseline"},
+    {true, false, false, "hint"},
+    {true, true, false, "hint_pr"},
+    {true, true, true, "hint_pr_cps"},
+    {false, false, true, "cps_only"},
+    {false, true, false, "pr_only"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, JobOptimizations,
-    ::testing::Values(OptCase{false, false, false, "baseline"},
-                      OptCase{true, false, false, "hint"},
-                      OptCase{true, true, false, "hint_pr"},
-                      OptCase{true, true, true, "hint_pr_cps"},
-                      OptCase{false, false, true, "cps_only"},
-                      OptCase{false, true, false, "pr_only"}),
+    Paths, JobOptimizations, ::testing::ValuesIn(kOptCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(Job, MapKvsChainsJobs) {

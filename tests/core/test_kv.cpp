@@ -40,7 +40,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         HintCase{KVHint::variable(), "variable"},
         HintCase{KVHint::string_key_u64_value(), "wc_hint"},
-        HintCase{KVHint::fixed(8, 16), "fixed"},
+        HintCase{KVHint::fixed(8, 16), "fixed_8_16"},
         HintCase{{KVHint::kString, KVHint::kString}, "both_strings"},
         HintCase{{KVHint::kVariable, 8}, "var_key_fixed_value"},
         HintCase{{4, KVHint::kVariable}, "fixed_key_var_value"}),

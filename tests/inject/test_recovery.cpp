@@ -5,6 +5,7 @@
 
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -381,6 +382,13 @@ struct PhaseKillCase {
   bool use_cps;
   bool use_hint;
 };
+
+// Without this gtest prints the case as raw bytes, starting with the
+// address of `name`, and ctest would name the test differently on every
+// build.
+void PrintTo(const PhaseKillCase& c, std::ostream* os) {
+  *os << "pr=" << c.use_pr << " cps=" << c.use_cps << " hint=" << c.use_hint;
+}
 
 class PhaseKill : public ::testing::TestWithParam<PhaseKillCase> {};
 
