@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the core
 // library: KV encode/decode under each hint, container append/scan,
-// combiner upserts, the convert pipeline, and dataset generators.
+// combiner upserts, the convert pipeline, dataset generators, and the
+// balance sampler and plan lookups that run per emitted KV.
 #include <benchmark/benchmark.h>
 
+#include "balance/plan.hpp"
+#include "balance/sketch.hpp"
 #include "mimir/mimir.hpp"
 #include "mutil/hash.hpp"
 #include "mutil/random.hpp"
@@ -125,6 +128,55 @@ void BM_HashBytes(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_HashBytes)->Arg(8)->Arg(64);
+
+/// Zipf-distributed keys over 2^16 distinct ids: a few hot keys over a
+/// long tail, so most offers miss the heavy table and evict.
+std::vector<std::string> tail_heavy_keys(std::size_t n) {
+  mutil::ZipfSampler zipf(1 << 16, 1.05);
+  mutil::Xoshiro256 rng(7);
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back("v" + std::to_string(zipf.sample(rng)));
+  }
+  return keys;
+}
+
+void BM_SketchOffer(benchmark::State& state) {
+  const std::vector<std::string> keys = tail_heavy_keys(1 << 14);
+  balance::KeyFreqSketch sketch(64, 256, 8);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[next];
+    sketch.offer(key, 8 + key.size(), static_cast<int>(next & 7));
+    next = (next + 1) & (keys.size() - 1);
+  }
+  benchmark::DoNotOptimize(sketch.total_bytes());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SketchOffer);
+
+void BM_PlanRoute(benchmark::State& state) {
+  constexpr int kRanks = 8;
+  const std::vector<std::string> keys = tail_heavy_keys(1 << 14);
+  balance::KeyFreqSketch sketch(64, 256, kRanks);
+  for (const std::string& key : keys) {
+    sketch.offer(key, 8 + key.size(),
+                 static_cast<int>(mutil::hash_bytes(key) % kRanks));
+  }
+  balance::Options opts;
+  opts.enabled = true;
+  const balance::Plan plan = balance::build_plan(sketch, kRanks, opts);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        plan.route(keys[next], 0, static_cast<int>(next % kRanks)));
+    next = (next + 1) & (keys.size() - 1);
+  }
+  state.counters["plan_keys"] = static_cast<double>(plan.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PlanRoute);
 
 }  // namespace
 

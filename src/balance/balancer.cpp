@@ -14,9 +14,10 @@ Balancer::Balancer(Options opts, int nranks)
       sketch_region_("balance.sketch", &sketch_, sizeof(sketch_)),
       plan_region_("balance.plan", &plan_, sizeof(plan_)) {}
 
-void Balancer::sample(std::string_view key, std::uint64_t bytes, int dest) {
+void Balancer::sample(std::string_view key, std::uint64_t hash,
+                      std::uint64_t bytes, int dest) {
   sketch_region_.note_write();
-  sketch_.offer(key, bytes, dest);
+  sketch_.offer(key, hash, bytes, dest);
 }
 
 void Balancer::exchange_and_plan(simmpi::Context& ctx) {
@@ -53,15 +54,16 @@ void Balancer::exchange_and_plan(simmpi::Context& ctx) {
     reg->add("balance.sketch_bytes", blob.size());
     reg->add("balance.plan_keys", plan_.size());
     reg->add("balance.split_keys", plan_.split_keys());
-    reg->add("balance.heavy_keys", merged.heavy().size());
+    reg->add("balance.heavy_keys", merged.heavy_size());
     reg->add("balance.tail_distinct_est", merged.distinct_estimate());
   }
   if (on_plan) on_plan(plan_);
 }
 
-int Balancer::route(std::string_view key, int fallback, int sender) const {
+int Balancer::route(std::string_view key, std::uint64_t hash, int fallback,
+                    int sender) const {
   plan_region_.note_read();
-  return plan_.route(key, fallback, sender);
+  return plan_.route(key, hash, fallback, sender);
 }
 
 }  // namespace balance

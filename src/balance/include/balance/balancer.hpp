@@ -49,8 +49,10 @@ class Balancer {
   int nranks() const noexcept { return nranks_; }
 
   /// Record one emitted KV during the sampling window (`dest` is the
-  /// fallback destination the KV was routed to).
-  void sample(std::string_view key, std::uint64_t bytes, int dest);
+  /// fallback destination the KV was routed to; `hash` is
+  /// mutil::hash_bytes(key), computed once per KV by the caller).
+  void sample(std::string_view key, std::uint64_t hash, std::uint64_t bytes,
+              int dest);
 
   bool planned() const noexcept { return planned_; }
 
@@ -59,9 +61,11 @@ class Balancer {
   /// Idempotent after the first call.
   void exchange_and_plan(simmpi::Context& ctx);
 
-  /// Post-plan destination for `key` (fallback for tail keys). Valid
-  /// only after exchange_and_plan.
-  int route(std::string_view key, int fallback, int sender) const;
+  /// Post-plan destination for `key` with `hash` ==
+  /// mutil::hash_bytes(key) (fallback for tail keys). Valid only after
+  /// exchange_and_plan.
+  int route(std::string_view key, std::uint64_t hash, int fallback,
+            int sender) const;
 
   bool is_planned_key(std::string_view key) const {
     return plan_.planned(key);

@@ -18,6 +18,10 @@
 //   * an unsplit key that lands on its own hash destination is dropped
 //     from the plan — routing would not change, so the lookup is waste.
 //
+// Lookups (per emit after planning, per intermediate KV in the merge
+// pass) go through an open-addressing index on the key hash, so a tail
+// key — the common case — costs one hash compare, not a map walk.
+//
 // The algorithm consumes only the merged sketch, the rank count, and
 // the options — all identical across ranks and runs — so every rank
 // computes the same Plan locally with no further communication, and
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "balance/sketch.hpp"
+#include "mutil/hash.hpp"
 
 namespace mutil {
 class Config;
@@ -63,22 +68,39 @@ struct PlanEntry {
 /// Deterministic key -> destination override; identical on every rank.
 class Plan {
  public:
+  Plan() = default;
+  // The index points into entries_' nodes: a copy re-points it, a move
+  // carries the nodes along with it.
+  Plan(const Plan& other);
+  Plan& operator=(const Plan& other);
+  Plan(Plan&&) = default;
+  Plan& operator=(Plan&&) = default;
+
   bool empty() const noexcept { return entries_.empty(); }
   std::size_t size() const noexcept { return entries_.size(); }
   std::size_t split_keys() const noexcept { return split_keys_; }
 
   bool planned(std::string_view key) const {
-    return entries_.find(key) != entries_.end();
+    return planned(key, mutil::hash_bytes(key));
+  }
+  /// As above, with the caller's `hash` == mutil::hash_bytes(key).
+  bool planned(std::string_view key, std::uint64_t hash) const {
+    return find(key, hash) != nullptr;
   }
 
   /// Destination for `key` emitted by rank `sender`: the fallback for
   /// tail keys, otherwise one of the key's shares (senders spread
   /// round-robin so split shares fill evenly).
   int route(std::string_view key, int fallback, int sender) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return fallback;
-    const std::vector<int>& ranks = it->second.ranks;
-    return ranks[static_cast<std::size_t>(sender) % ranks.size()];
+    return route(key, mutil::hash_bytes(key), fallback, sender);
+  }
+  /// As above, with the caller's `hash` == mutil::hash_bytes(key).
+  int route(std::string_view key, std::uint64_t hash, int fallback,
+            int sender) const {
+    const PlanEntry* entry = find(key, hash);
+    if (entry == nullptr) return fallback;
+    return entry->ranks[static_cast<std::size_t>(sender) %
+                        entry->ranks.size()];
   }
 
   const std::map<std::string, PlanEntry, std::less<>>& entries()
@@ -93,7 +115,26 @@ class Plan {
   std::uint64_t fingerprint() const;
 
  private:
+  using Node = std::map<std::string, PlanEntry, std::less<>>::value_type;
+  struct IndexEntry {
+    std::uint64_t hash = 0;
+    const Node* node = nullptr;  ///< nullptr = empty
+  };
+
+  const PlanEntry* find(std::string_view key, std::uint64_t hash) const {
+    if (index_.empty()) return nullptr;
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const IndexEntry& e = index_[i];
+      if (e.node == nullptr) return nullptr;
+      if (e.hash == hash && e.node->first == key) return &e.node->second;
+    }
+  }
+  void index_put(const Node& node);
+  void reindex();
+
   std::map<std::string, PlanEntry, std::less<>> entries_;
+  std::vector<IndexEntry> index_;  ///< linear probing; size 0 or 2^k
   std::size_t split_keys_ = 0;
 };
 

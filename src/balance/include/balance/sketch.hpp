@@ -14,6 +14,16 @@
 //   * a bottom-k min-hash reservoir over distinct keys, giving a cheap
 //     distinct-key estimate for the tail without storing tail keys.
 //
+// The sampler runs inline on the emit path, so both structures are
+// flat: the heavy table is a slot array with an open-addressing index
+// on the key hash and an indexed binary min-heap ordered by (bytes,
+// key) whose root is the eviction victim; the reservoir is a sorted
+// vector that rejects a hash at or above its k-th smallest at once.
+// An offer costs O(1) expected plus O(log capacity) heap work and,
+// once the tables are full, allocates nothing (an evicted slot's key
+// storage is reused). The key-ordered view is built only on demand —
+// serialize() and heavy().
+//
 // Per-destination byte totals (under the fallback hash routing) are
 // tracked exactly; the planner derives the un-plannable tail load of a
 // rank as total[d] minus the heavy bytes hashed to d.
@@ -31,11 +41,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "mutil/hash.hpp"
 
 namespace balance {
 
@@ -56,12 +67,17 @@ class KeyFreqSketch {
 
   /// Record one emitted KV: `bytes` encoded bytes routed to fallback
   /// destination `dest`.
-  void offer(std::string_view key, std::uint64_t bytes, int dest);
-
-  const std::map<std::string, HeavyEntry, std::less<>>& heavy()
-      const noexcept {
-    return heavy_;
+  void offer(std::string_view key, std::uint64_t bytes, int dest) {
+    offer(key, mutil::hash_bytes(key), bytes, dest);
   }
+  /// As above, with the caller's `hash` == mutil::hash_bytes(key), so
+  /// the emit path hashes each key once for routing, sketch and plan.
+  void offer(std::string_view key, std::uint64_t hash, std::uint64_t bytes,
+             int dest);
+
+  /// The heavy-hitter table in key order (a copy, built per call).
+  std::map<std::string, HeavyEntry, std::less<>> heavy() const;
+  std::size_t heavy_size() const noexcept { return slots_.size(); }
   /// Exact bytes offered toward each fallback destination.
   const std::vector<std::uint64_t>& dest_bytes() const noexcept {
     return dest_bytes_;
@@ -80,7 +96,7 @@ class KeyFreqSketch {
   /// Deterministic byte serialization (sorted keys, little-endian).
   std::vector<std::byte> serialize() const;
   /// Inverse of serialize(); throws mutil::UsageError on a malformed
-  /// blob (truncation, destination-count mismatch with `ndests`).
+  /// blob (truncation, or a count or key length beyond the bytes left).
   static KeyFreqSketch deserialize(std::span<const std::byte> blob);
 
   /// Fold `other` into this sketch: per-destination totals and matching
@@ -91,13 +107,40 @@ class KeyFreqSketch {
   void merge(const KeyFreqSketch& other);
 
  private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+
+  struct Slot {
+    std::uint64_t hash = 0;
+    HeavyEntry entry;
+    std::string key;
+    std::uint32_t heap_pos = 0;  ///< position of this slot in heap_
+  };
+  struct IndexEntry {
+    std::uint64_t hash = 0;
+    std::uint32_t slot = kNoSlot;  ///< kNoSlot = empty
+  };
+
+  std::uint32_t find(std::uint64_t hash, std::string_view key) const;
+  void add_slot(std::uint64_t hash, std::string_view key, HeavyEntry entry);
+  void index_insert(std::uint64_t hash, std::uint32_t slot);
+  void index_erase(std::uint64_t hash, std::uint32_t slot);
+  bool heap_before(std::uint32_t a, std::uint32_t b) const;
+  void heap_place(std::size_t pos, std::uint32_t slot);
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  void rebuild_heap();
+  void reservoir_offer(std::uint64_t hash);
+  std::vector<std::uint32_t> slots_by_key() const;
+
   std::size_t capacity_ = 0;
   std::size_t reservoir_capacity_ = 0;
-  std::map<std::string, HeavyEntry, std::less<>> heavy_;
+  std::vector<Slot> slots_;        ///< heavy table, unordered
+  std::vector<IndexEntry> index_;  ///< linear probing; size 0 or 2^k
+  std::vector<std::uint32_t> heap_;  ///< slot ids, min-heap on (bytes, key)
   std::vector<std::uint64_t> dest_bytes_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t offered_ = 0;
-  std::set<std::uint64_t> reservoir_;  ///< k smallest key hashes
+  std::vector<std::uint64_t> reservoir_;  ///< k smallest key hashes, ascending
 };
 
 }  // namespace balance

@@ -36,12 +36,49 @@ Options Options::from(const mutil::Config& cfg) {
   return out;
 }
 
+Plan::Plan(const Plan& other)
+    : entries_(other.entries_), split_keys_(other.split_keys_) {
+  reindex();
+}
+
+Plan& Plan::operator=(const Plan& other) {
+  if (this != &other) {
+    entries_ = other.entries_;
+    split_keys_ = other.split_keys_;
+    reindex();
+  }
+  return *this;
+}
+
 void Plan::insert(std::string key, PlanEntry entry) {
   if (entry.ranks.empty()) {
     throw mutil::UsageError("balance: plan entry without destinations");
   }
   if (entry.ranks.size() > 1) ++split_keys_;
-  entries_.insert_or_assign(std::move(key), std::move(entry));
+  const auto [it, inserted] =
+      entries_.insert_or_assign(std::move(key), std::move(entry));
+  if (!inserted) return;  // the node, and so its index entry, stays
+  if (2 * entries_.size() > index_.size()) {
+    reindex();
+  } else {
+    index_put(*it);
+  }
+}
+
+void Plan::index_put(const Node& node) {
+  const std::uint64_t hash = mutil::hash_bytes(node.first);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].node != nullptr) i = (i + 1) & mask;
+  index_[i] = IndexEntry{hash, &node};
+}
+
+/// Rebuild the index over entries_, at most half full.
+void Plan::reindex() {
+  std::size_t size = 16;
+  while (size < 2 * entries_.size()) size *= 2;
+  index_.assign(size, IndexEntry{});
+  for (const Node& node : entries_) index_put(node);
 }
 
 std::uint64_t Plan::fingerprint() const {
@@ -69,7 +106,8 @@ Plan build_plan(const KeyFreqSketch& merged, int nranks,
   for (std::size_t d = 0; d < p && d < merged.dest_bytes().size(); ++d) {
     load[d] = static_cast<double>(merged.dest_bytes()[d]);
   }
-  for (const auto& [key, entry] : merged.heavy()) {
+  const auto heavy = merged.heavy();
+  for (const auto& [key, entry] : heavy) {
     const auto d = static_cast<std::size_t>(
         mutil::hash_bytes(key) % static_cast<std::uint64_t>(nranks));
     load[d] -= static_cast<double>(entry.bytes);
@@ -79,8 +117,8 @@ Plan build_plan(const KeyFreqSketch& merged, int nranks,
   // Largest keys first; ties by key order. Deterministic given the
   // deterministic merged sketch.
   std::vector<std::pair<std::string_view, std::uint64_t>> keys;
-  keys.reserve(merged.heavy().size());
-  for (const auto& [key, entry] : merged.heavy()) {
+  keys.reserve(heavy.size());
+  for (const auto& [key, entry] : heavy) {
     keys.emplace_back(key, entry.bytes);
   }
   std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {

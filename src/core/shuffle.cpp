@@ -60,6 +60,10 @@ void Shuffle::emit(std::string_view key, std::string_view value) {
   // Validate the partitioner's result while it is still signed: casting
   // a negative return to size_t first would report a huge bogus rank
   // and hide the real bug (a partitioner returning -1).
+  // One key hash per KV, shared by the fallback routing, the sketch and
+  // the plan lookup.
+  const std::uint64_t hash =
+      !partitioner_ || balancer_ != nullptr ? mutil::hash_bytes(key) : 0;
   int dest = 0;
   if (partitioner_) {
     dest = partitioner_(key, ctx_.size());
@@ -71,16 +75,15 @@ void Shuffle::emit(std::string_view key, std::string_view value) {
           std::to_string(ctx_.size()) + "))");
     }
   } else {
-    dest = static_cast<int>(mutil::hash_bytes(key) %
-                            static_cast<std::uint64_t>(ctx_.size()));
+    dest = static_cast<int>(hash % static_cast<std::uint64_t>(ctx_.size()));
   }
   if (balancer_ != nullptr) {
     if (!balancer_->planned()) {
       // Pre-plan: feed the key-frequency sketch. Routing is unchanged,
       // so the first-round payload is identical with balance on or off.
-      balancer_->sample(key, static_cast<std::uint64_t>(bytes), dest);
+      balancer_->sample(key, hash, static_cast<std::uint64_t>(bytes), dest);
     } else {
-      dest = balancer_->route(key, dest, ctx_.rank());
+      dest = balancer_->route(key, hash, dest, ctx_.rank());
       if (dest < 0 || dest >= ctx_.size()) {
         throw mutil::UsageError(
             "Shuffle: balance plan routed to rank " + std::to_string(dest) +

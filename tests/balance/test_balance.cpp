@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "mutil/config.hpp"
 #include "mutil/error.hpp"
 #include "mutil/hash.hpp"
+#include "mutil/random.hpp"
 #include "sched/graph.hpp"
 #include "simmpi/runtime.hpp"
 #include "stats/trace.hpp"
@@ -86,14 +90,15 @@ TEST(BalanceSketch, HeavyHitterGuaranteeHolds) {
   for (int i = 0; i < 400; ++i) {
     sketch.offer("t" + std::to_string(i % 97), 10, i % 2);
   }
-  ASSERT_TRUE(sketch.heavy().contains("hot"));
-  const auto& entry = sketch.heavy().find("hot")->second;
+  const auto heavy = sketch.heavy();  // a copy: keep it alive
+  ASSERT_TRUE(heavy.contains("hot"));
+  const auto& entry = heavy.find("hot")->second;
   // estimate - error <= true volume <= estimate.
   EXPECT_GE(entry.bytes, 100u * 100u);
   EXPECT_LE(entry.bytes - entry.error, 100u * 100u);
   EXPECT_EQ(sketch.total_bytes(), 100u * 100u + 400u * 10u);
   EXPECT_EQ(sketch.offered_kvs(), 500u);
-  EXPECT_LE(sketch.heavy().size(), 4u);
+  EXPECT_LE(heavy.size(), 4u);
 }
 
 TEST(BalanceSketch, DestBytesTrackFallbackRoutingExactly) {
@@ -130,6 +135,37 @@ TEST(BalanceSketch, DeserializeRejectsTruncatedBlob) {
   EXPECT_THROW(
       KeyFreqSketch::deserialize(std::span<const std::byte>(blob.data(), 2)),
       mutil::UsageError);
+}
+
+/// Overwrite the little-endian u64 at byte `offset` of a sketch blob.
+void forge_u64(std::vector<std::byte>& blob, std::size_t offset,
+               std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[offset + i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(BalanceSketch, DeserializeRejectsForgedLengths) {
+  // Layout with 2 destinations: 5 header words, ndests at byte 16, the
+  // two totals, the heavy count at byte 56, the first key length at
+  // byte 64; the reservoir count sits before the single reservoir hash.
+  KeyFreqSketch sketch(4, 16, 2);
+  sketch.offer("abc", 10, 0);
+  const auto blob = sketch.serialize();
+  ASSERT_EQ(blob.size(), 64u + 8 + 3 + 16 + 8 + 8);
+  const std::size_t nres_at = blob.size() - 16;
+  for (const auto& [offset, value] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{
+           {64, ~std::uint64_t{0} - 3},  // key length: pos + len wraps
+           {64, std::uint64_t{1} << 62},
+           {16, ~std::uint64_t{0} / 8},  // destination count
+           {56, ~std::uint64_t{0}},      // heavy-entry count
+           {nres_at, ~std::uint64_t{0} / 8}}) {  // reservoir count
+    auto forged = blob;
+    forge_u64(forged, offset, value);
+    EXPECT_THROW(KeyFreqSketch::deserialize(forged), mutil::UsageError)
+        << "offset " << offset << " value " << value;
+  }
 }
 
 TEST(BalanceSketch, MergeSumsTotalsAndUnionsHeavyKeys) {
@@ -307,6 +343,388 @@ TEST(BalanceOptions, SchedGraphKnobMapsToTriState) {
   sched::GraphOptions off = sched::GraphOptions::from(
       mutil::Config::from_args({"mimir.sched.balance=0"}));
   EXPECT_EQ(off.balance, 0);
+}
+
+// --- differential: flat tables vs the map-based reference -----------------
+
+/// The sketch as first written: a std::map heavy table whose SpaceSaving
+/// victim is found by a full scan, and a std::set reservoir. It is the
+/// oracle the flat tables must match byte for byte.
+struct RefSketch {
+  std::size_t capacity;
+  std::size_t reservoir_capacity;
+  std::map<std::string, balance::HeavyEntry, std::less<>> heavy;
+  std::vector<std::uint64_t> dest_bytes;
+  std::uint64_t total_bytes = 0;
+  std::uint64_t offered = 0;
+  std::set<std::uint64_t> reservoir;
+
+  RefSketch(std::size_t cap, std::size_t res, int ndests)
+      : capacity(cap),
+        reservoir_capacity(res),
+        dest_bytes(static_cast<std::size_t>(ndests), 0) {}
+
+  void offer(std::string_view key, std::uint64_t bytes, int dest) {
+    total_bytes += bytes;
+    ++offered;
+    dest_bytes[static_cast<std::size_t>(dest)] += bytes;
+    if (reservoir_capacity > 0) {
+      reservoir.insert(mutil::hash_bytes(key));
+      if (reservoir.size() > reservoir_capacity) {
+        reservoir.erase(std::prev(reservoir.end()));
+      }
+    }
+    if (capacity == 0) return;
+    if (const auto it = heavy.find(key); it != heavy.end()) {
+      it->second.bytes += bytes;
+      return;
+    }
+    if (heavy.size() < capacity) {
+      heavy.emplace(std::string(key), balance::HeavyEntry{bytes, 0});
+      return;
+    }
+    auto victim = heavy.begin();
+    for (auto it = heavy.begin(); it != heavy.end(); ++it) {
+      if (it->second.bytes < victim->second.bytes) victim = it;
+    }
+    const std::uint64_t floor = victim->second.bytes;
+    heavy.erase(victim);
+    heavy.emplace(std::string(key), balance::HeavyEntry{floor + bytes, floor});
+  }
+
+  void merge(const RefSketch& other) {
+    total_bytes += other.total_bytes;
+    offered += other.offered;
+    for (std::size_t d = 0; d < dest_bytes.size(); ++d) {
+      dest_bytes[d] += other.dest_bytes[d];
+    }
+    for (const auto& [key, entry] : other.heavy) {
+      balance::HeavyEntry& mine = heavy[key];
+      mine.bytes += entry.bytes;
+      mine.error += entry.error;
+    }
+    for (const std::uint64_t h : other.reservoir) {
+      reservoir.insert(h);
+      if (reservoir_capacity > 0 && reservoir.size() > reservoir_capacity) {
+        reservoir.erase(std::prev(reservoir.end()));
+      }
+    }
+  }
+
+  std::vector<std::byte> serialize() const {
+    std::vector<std::byte> out;
+    const auto put = [&out](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+      }
+    };
+    put(capacity);
+    put(reservoir_capacity);
+    put(dest_bytes.size());
+    put(total_bytes);
+    put(offered);
+    for (const std::uint64_t b : dest_bytes) put(b);
+    put(heavy.size());
+    for (const auto& [key, entry] : heavy) {
+      put(key.size());
+      for (const char c : key) out.push_back(static_cast<std::byte>(c));
+      put(entry.bytes);
+      put(entry.error);
+    }
+    put(reservoir.size());
+    for (const std::uint64_t h : reservoir) put(h);
+    return out;
+  }
+};
+
+using RefPlan = std::map<std::string, std::vector<int>>;
+
+/// The planner as first written, over the reference sketch's map.
+RefPlan ref_build_plan(const RefSketch& merged, int nranks,
+                       const Options& opts) {
+  RefPlan plan;
+  if (nranks <= 1 || merged.total_bytes == 0) return plan;
+  const auto p = static_cast<std::size_t>(nranks);
+  const auto home = [nranks](std::string_view key) {
+    return static_cast<std::size_t>(mutil::hash_bytes(key) %
+                                    static_cast<std::uint64_t>(nranks));
+  };
+  std::vector<double> load(p, 0.0);
+  for (std::size_t d = 0; d < p; ++d) {
+    load[d] = static_cast<double>(merged.dest_bytes[d]);
+  }
+  for (const auto& [key, entry] : merged.heavy) {
+    const std::size_t d = home(key);
+    load[d] = std::max(0.0, load[d] - static_cast<double>(entry.bytes));
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> keys;
+  for (const auto& [key, entry] : merged.heavy) {
+    keys.emplace_back(key, entry.bytes);
+  }
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  const double target =
+      static_cast<double>(merged.total_bytes) / static_cast<double>(p);
+  for (const auto& [key, bytes] : keys) {
+    const double w = static_cast<double>(bytes);
+    std::size_t shares = 1;
+    if (opts.allow_split && w > opts.split_threshold * target) {
+      shares = static_cast<std::size_t>(std::ceil(w / target));
+      shares = std::max<std::size_t>(1, std::min({shares, opts.max_splits, p}));
+    }
+    std::vector<char> taken(p, 0);
+    std::vector<int> ranks;
+    for (std::size_t s = 0; s < shares; ++s) {
+      std::size_t best = p;
+      for (std::size_t r = 0; r < p; ++r) {
+        if (!taken[r] && (best == p || load[r] < load[best])) best = r;
+      }
+      taken[best] = 1;
+      load[best] += w / static_cast<double>(shares);
+      ranks.push_back(static_cast<int>(best));
+    }
+    if (ranks.size() == 1 && static_cast<std::size_t>(ranks[0]) == home(key)) {
+      continue;
+    }
+    plan[key] = std::move(ranks);
+  }
+  return plan;
+}
+
+std::uint64_t ref_fingerprint(const RefPlan& plan) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const auto& [key, ranks] : plan) {
+    h = mutil::mix64(h ^ mutil::hash_bytes(key));
+    for (const int r : ranks) {
+      h = mutil::mix64(h ^ static_cast<std::uint64_t>(
+                               static_cast<std::uint32_t>(r)));
+    }
+  }
+  return h;
+}
+
+struct StreamKV {
+  std::string key;
+  std::uint64_t bytes;
+};
+
+/// Seeded emit streams. kZipf: a Zipf tail under a few heavy keys with
+/// varied sizes; kAllEqual: many distinct keys of one size, so every
+/// eviction is a tie on bytes; kFewTied: a handful of keys with sizes 1
+/// or 2, so heavy entries tie constantly.
+enum class Shape { kZipf, kAllEqual, kFewTied };
+
+std::vector<StreamKV> make_stream(Shape shape, std::uint64_t seed,
+                                  std::size_t n) {
+  mutil::Xoshiro256 rng(seed);
+  const mutil::ZipfSampler zipf(2000, 1.1);
+  std::vector<StreamKV> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case Shape::kZipf:
+        out.push_back({"z" + std::to_string(zipf.sample(rng)),
+                       8 + rng.below(33)});
+        break;
+      case Shape::kAllEqual:
+        out.push_back({"e" + std::to_string(rng.below(300)), 16});
+        break;
+      case Shape::kFewTied:
+        out.push_back({"t" + std::to_string(rng.below(5)), 1 + rng.below(2)});
+        break;
+    }
+  }
+  return out;
+}
+
+int home_rank(std::string_view key, int nranks) {
+  return static_cast<int>(mutil::hash_bytes(key) %
+                          static_cast<std::uint64_t>(nranks));
+}
+
+/// Plans built from `sketch` and `ref` have equal fingerprints and route
+/// every key of `stream` identically for every sender. Returns the
+/// reference plan's size.
+std::size_t expect_same_plan(const KeyFreqSketch& sketch, const RefSketch& ref,
+                      int nranks, const std::vector<StreamKV>& stream) {
+  Options opts;
+  opts.enabled = true;
+  const Plan plan = balance::build_plan(sketch, nranks, opts);
+  const RefPlan expected = ref_build_plan(ref, nranks, opts);
+  EXPECT_EQ(plan.fingerprint(), ref_fingerprint(expected));
+  EXPECT_EQ(plan.size(), expected.size());
+  for (const StreamKV& kv : stream) {
+    const auto it = expected.find(kv.key);
+    EXPECT_EQ(plan.planned(kv.key), it != expected.end()) << kv.key;
+    for (int sender = 0; sender < nranks; ++sender) {
+      const int want =
+          it == expected.end()
+              ? -1
+              : it->second[static_cast<std::size_t>(sender) %
+                           it->second.size()];
+      EXPECT_EQ(plan.route(kv.key, -1, sender), want) << kv.key;
+    }
+  }
+  return expected.size();
+}
+
+constexpr Shape kShapes[] = {Shape::kZipf, Shape::kAllEqual, Shape::kFewTied};
+constexpr std::size_t kCapacities[] = {1, 4, 64};
+constexpr std::size_t kReservoirs[] = {0, 1, 256};
+
+TEST(BalanceDifferential, OffersMatchTheMapReference) {
+  constexpr int kDests = 4;
+  std::size_t planned_keys = 0;
+  for (const Shape shape : kShapes) {
+    for (const std::size_t cap : kCapacities) {
+      for (const std::size_t res : kReservoirs) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "shape " << static_cast<int>(shape) << " cap "
+                       << cap << " reservoir " << res << " seed " << seed);
+          const auto stream = make_stream(shape, seed, 3000);
+          KeyFreqSketch sketch(cap, res, kDests);
+          RefSketch ref(cap, res, kDests);
+          for (std::size_t i = 0; i < stream.size(); ++i) {
+            const StreamKV& kv = stream[i];
+            const int dest = home_rank(kv.key, kDests);
+            sketch.offer(kv.key, kv.bytes, dest);
+            ref.offer(kv.key, kv.bytes, dest);
+            if (i % 500 == 499) {
+              ASSERT_EQ(sketch.serialize(), ref.serialize()) << i;
+            }
+          }
+          EXPECT_EQ(sketch.serialize(), ref.serialize());
+          planned_keys += expect_same_plan(sketch, ref, kDests, stream);
+        }
+      }
+    }
+  }
+  EXPECT_GT(planned_keys, 0u);  // the routing comparison was not vacuous
+}
+
+TEST(BalanceDifferential, MergedSketchesMatchTheMapReference) {
+  constexpr int kRanks = 4;
+  std::size_t planned_keys = 0;
+  for (const Shape shape : kShapes) {
+    for (const std::size_t cap : kCapacities) {
+      for (const std::size_t res : kReservoirs) {
+        SCOPED_TRACE(testing::Message() << "shape " << static_cast<int>(shape)
+                                        << " cap " << cap << " reservoir "
+                                        << res);
+        std::vector<KeyFreqSketch> locals;
+        std::vector<RefSketch> refs;
+        std::vector<StreamKV> all;
+        for (int r = 0; r < kRanks; ++r) {
+          const auto stream =
+              make_stream(shape, 100 + static_cast<std::uint64_t>(r), 1500);
+          locals.emplace_back(cap, res, kRanks);
+          refs.emplace_back(cap, res, kRanks);
+          for (const StreamKV& kv : stream) {
+            locals.back().offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+            refs.back().offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+          }
+          all.insert(all.end(), stream.begin(), stream.end());
+        }
+        // The Balancer's path (blobs folded in rank order) and a fold of
+        // the live sketches must both equal the reference fold.
+        KeyFreqSketch via_blobs =
+            KeyFreqSketch::deserialize(locals[0].serialize());
+        KeyFreqSketch live = locals[0];
+        RefSketch ref = refs[0];
+        for (int r = 1; r < kRanks; ++r) {
+          const auto i = static_cast<std::size_t>(r);
+          via_blobs.merge(KeyFreqSketch::deserialize(locals[i].serialize()));
+          live.merge(locals[i]);
+          ref.merge(refs[i]);
+        }
+        EXPECT_EQ(via_blobs.serialize(), ref.serialize());
+        EXPECT_EQ(live.serialize(), ref.serialize());
+        planned_keys += expect_same_plan(via_blobs, ref, kRanks, all);
+        // Offers after a merge run on a table that may hold more keys
+        // than its capacity; eviction must still match.
+        for (const StreamKV& kv : make_stream(shape, 7, 1000)) {
+          live.offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+          ref.offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+        }
+        EXPECT_EQ(live.serialize(), ref.serialize());
+      }
+    }
+  }
+  EXPECT_GT(planned_keys, 0u);
+}
+
+TEST(BalanceDifferential, CopiedAndMovedLiveSketchesMatchTheReference) {
+  constexpr int kDests = 3;
+  for (const std::size_t cap : kCapacities) {
+    SCOPED_TRACE(testing::Message() << "cap " << cap);
+    const auto stream = make_stream(Shape::kZipf, 9, 2000);
+    const auto offer_range = [&](KeyFreqSketch& s, RefSketch& ref,
+                                 std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) {
+        const int dest = home_rank(stream[i].key, kDests);
+        s.offer(stream[i].key, stream[i].bytes, dest);
+        ref.offer(stream[i].key, stream[i].bytes, dest);
+      }
+    };
+    KeyFreqSketch original(cap, 256, kDests);
+    RefSketch ref(cap, 256, kDests);
+    offer_range(original, ref, 0, 1000);
+    const RefSketch ref_at_1000 = ref;
+    KeyFreqSketch copy(original);
+    KeyFreqSketch assigned;
+    assigned = original;
+    // The original runs on; the copies stay snapshots of the live table.
+    offer_range(original, ref, 1000, 2000);
+    EXPECT_EQ(original.serialize(), ref.serialize());
+    EXPECT_EQ(copy.serialize(), ref_at_1000.serialize());
+    EXPECT_EQ(assigned.serialize(), ref_at_1000.serialize());
+
+    KeyFreqSketch moved(std::move(copy));
+    KeyFreqSketch move_assigned;
+    move_assigned = std::move(assigned);
+    RefSketch ref_moved = ref_at_1000;
+    RefSketch ref_move_assigned = ref_at_1000;
+    offer_range(moved, ref_moved, 1000, 2000);
+    offer_range(move_assigned, ref_move_assigned, 1000, 2000);
+    EXPECT_EQ(moved.serialize(), ref_moved.serialize());
+    EXPECT_EQ(move_assigned.serialize(), ref_move_assigned.serialize());
+    EXPECT_EQ(moved.serialize(), original.serialize());
+  }
+}
+
+TEST(BalanceDifferential, CopiedAndMovedPlansKeepRouting) {
+  constexpr int kRanks = 8;
+  KeyFreqSketch sketch(16, 64, kRanks);
+  RefSketch ref(16, 64, kRanks);
+  const auto stream = make_stream(Shape::kZipf, 3, 4000);
+  for (const StreamKV& kv : stream) {
+    sketch.offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+    ref.offer(kv.key, kv.bytes, home_rank(kv.key, kRanks));
+  }
+  Options opts;
+  opts.enabled = true;
+  const RefPlan expected = ref_build_plan(ref, kRanks, opts);
+  ASSERT_FALSE(expected.empty());
+  Plan built = balance::build_plan(sketch, kRanks, opts);
+  const Plan copied(built);
+  Plan assigned;
+  assigned = copied;
+  const Plan moved(std::move(built));
+  Plan move_assigned;
+  move_assigned = Plan(copied);
+  for (const Plan* plan : std::initializer_list<const Plan*>{
+           &copied, &assigned, &moved, &move_assigned}) {
+    EXPECT_EQ(plan->fingerprint(), ref_fingerprint(expected));
+    for (const auto& [key, ranks] : expected) {
+      for (int sender = 0; sender < kRanks; ++sender) {
+        EXPECT_EQ(plan->route(key, -1, sender),
+                  ranks[static_cast<std::size_t>(sender) % ranks.size()]);
+      }
+    }
+    EXPECT_EQ(plan->route("not-a-planned-key", 5, 0), 5);
+  }
 }
 
 // --- balancer + shuffle ---------------------------------------------------

@@ -266,9 +266,14 @@ TEST(RaceShared, UnorderedCrossRankWritesAreReported) {
   Report report;
   JobChecker checker(report, race_config());
   check::Shared<std::uint64_t> hot("race.hot");
+  // The host-level mutex keeps the real stores to the value from racing
+  // (for ThreadSanitizer); mimir-race models only simmpi ordering, so
+  // the two writes stay unordered for the detector.
+  std::mutex host_mutex;
   simmpi::run_test(
       2,
       [&](Context& ctx) {
+        const std::scoped_lock lock(host_mutex);
         hot.write(static_cast<std::uint64_t>(ctx.rank()));
       },
       nullptr, &checker);
@@ -291,10 +296,12 @@ TEST(RaceShared, SharedCaptureAccumulatorRegressionNamesBothSites) {
   Report report;
   JobChecker checker(report, race_config());
   check::Shared<std::uint64_t> sum("pr2.word_total");
+  std::mutex host_mutex;  // host-level only, as in the test above
   simmpi::run_test(
       2,
       [&](Context& ctx) {
         const stats::PhaseScope phase(ctx.rank() == 0 ? "map" : "reduce");
+        const std::scoped_lock lock(host_mutex);
         sum.update([&](std::uint64_t& v) {
           v += static_cast<std::uint64_t>(10 + ctx.rank());
         });
